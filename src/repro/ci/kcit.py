@@ -30,8 +30,8 @@ import numpy as np
 from scipy import stats
 
 from repro.ci.base import CIQuery, CITester, as_queries
-from repro.ci.rcit import _standardize, median_bandwidth
-from repro.data.table import Table
+from repro.ci.rcit import median_bandwidth
+from repro.data.table import Table, standardize_matrix
 from repro.exceptions import CITestError
 from repro.rng import as_generator, seed_token
 
@@ -122,7 +122,7 @@ class KCIT(CITester):
         """Standardized block, through the table cache when unsubsampled."""
         if idx is None:
             return table.standardized_block(names)
-        return _standardize(table.matrix(names)[idx])
+        return standardize_matrix(table.matrix(names)[idx])
 
     def _group_eval(self, table: Table, y_names: tuple[str, ...],
                     z_names: tuple[str, ...],
@@ -198,10 +198,10 @@ class KCIT(CITester):
             z = z[idx] if z is not None else None
             n = self.max_samples
 
-        xs = _standardize(x)
-        ys = _standardize(y)
+        xs = standardize_matrix(x)
+        ys = standardize_matrix(y)
         if z is not None and z.shape[1] > 0:
-            zs = _standardize(z)
+            zs = standardize_matrix(z)
             x_aug = np.hstack([xs, 0.5 * zs])
         else:
             zs = None

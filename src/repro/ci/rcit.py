@@ -22,15 +22,29 @@ Fused batch engine
 :meth:`RCIT.test_batch` mirrors the discrete engine's same-``(Y, Z)``
 fusion (:meth:`repro.ci.gtest.GTestCI.test_batch`): queries are grouped by
 their ``(y, effective z)`` name pair — the exact shape of a SeqSel/GrpSel
-phase-2 burst — and each group computes its expensive shared legs **once**:
-the standardized blocks and median bandwidths (cached on the
+phase-2 burst — and each group computes its shared legs **once**: the
+standardized blocks and median bandwidths (cached on the
 :class:`~repro.data.table.Table`), the Z feature map ``fz``, its ridge Gram
 Cholesky factorisation, and the residualised Y features.  Same-cardinality
-candidate X blocks are then mapped through one stacked RFF tensor and
-residualised in batched matmuls (numpy evaluates a 3-D matmul as one GEMM
+candidate X blocks are then mapped through one stacked RFF tensor; each
+slice is residualised on its own (numpy evaluates a 3-D matmul as one GEMM
 per slice, so slice ``j`` is bitwise identical to the 2-D product a lone
 query computes); the per-query eigen/gamma p-values come from the small
 per-candidate covariances.
+
+Residualisation goes through the Cholesky factor directly,
+``f - fz @ cho_solve(factor, fz.T @ f)``: the ``m_z x n`` projector (the
+Gram inverse applied to all of ``fz.T``) is never built, which was a third
+of a group's cost at adult size.  The small factors of a leg — the
+Cholesky factor, the Y residual (``n x m_y``, ``m_y`` = 5 for a single Y
+column) and the Y eigenvalues — are memoised per ``(Y, Z)`` content in the
+Table's derived-state tier (:meth:`~repro.data.table.Table.derived_leg`),
+so a GrpSel run that revisits a leg skips its Y map, Gram, factorisation
+and Y residual.  ``fz`` itself (``n x 100``, ~29 MB at adult) is
+recomputed for every group on purpose: GrpSel's BFS revisits the 16 Z
+subsets of the admissible set in a fixed cycle, once per level, so an LRU
+of fewer than 16 maps never hits, and keeping all 16 alive would add
+~460 MB to a ~240 MB peak.
 
 **Derivation rule** (the reason fusion is exact): with a value (int) seed,
 every variable block consumes a generator derived from
@@ -54,10 +68,6 @@ from repro.ci.base import CIQuery, CITester, as_queries
 from repro.data.table import Table, standardize_matrix
 from repro.exceptions import CITestError
 from repro.rng import SeedLike, as_generator, derive, derived_seed, seed_token
-
-# Canonical home is repro.data.table (the Table block cache shares it);
-# kept under the historical name for the kernel-side importers (KCIT).
-_standardize = standardize_matrix
 
 
 def median_bandwidth(matrix: np.ndarray, max_points: int = 500,
@@ -112,6 +122,19 @@ def random_fourier_features(matrix: np.ndarray, n_features: int,
     return np.sqrt(2.0 / n_features) * np.cos(matrix @ frequencies + phases)
 
 
+def _residualise(features: np.ndarray, fz: np.ndarray,
+                 factor: tuple) -> np.ndarray:
+    """Ridge residual of ``features`` on ``fz``, in place.
+
+    ``factor`` is ``cho_factor`` of the ridge Gram ``fz.T @ fz + λI``.
+    Solving against ``fz.T @ features`` (``m_z x m``) instead of forming
+    the ``m_z x n`` projector (the Gram inverse applied to all of
+    ``fz.T``) keeps every intermediate small.
+    """
+    features -= fz @ cho_solve(factor, fz.T @ features)
+    return features
+
+
 def _gamma_pvalue(statistic: float, weights: np.ndarray) -> float:
     """Satterthwaite–Welch gamma approximation for sum_i w_i chi2_1."""
     weights = weights[weights > 1e-14]
@@ -138,12 +161,14 @@ class RCIT(CITester):
 
     method = "rcit"
 
-    #: Version of the random-feature derivation scheme.  Participates in
-    #: :meth:`cache_token` so a persistent store never serves verdicts
-    #: computed under an older derivation (v1 consumed one stream across
-    #: all blocks of a query; v2 derives one stream per block, which is
-    #: what makes same-(Y, Z) fusion exact).
-    _DERIVATION = 2
+    #: Version of the random-feature derivation and kernel numerics.
+    #: Participates in :meth:`cache_token` so a persistent store never
+    #: serves verdicts computed under an older version (v1 consumed one
+    #: stream across all blocks of a query; v2 derives one stream per
+    #: block, which is what makes same-(Y, Z) fusion exact; v3 keeps v2's
+    #: draws but residualises through the Cholesky factor instead of an
+    #: n-wide projector, which moves p-values at ~1e-11 relative).
+    _DERIVATION = 3
 
     def __init__(self, alpha: float = 0.01, n_features_xy: int = 5,
                  n_features_z: int = 100, ridge: float = 1e-10,
@@ -293,13 +318,17 @@ class RCIT(CITester):
         algebra.
         """
         if self.rff_float32:
-            feats = np.sqrt(2.0 / m) * np.cos(
-                np.matmul(matrix.astype(np.float32),
-                          frequencies.astype(np.float32))
-                + phases.astype(np.float32))
-            return feats.astype(np.float64)
-        return np.sqrt(2.0 / m) * np.cos(np.matmul(matrix, frequencies)
-                                         + phases)
+            feats = np.matmul(matrix.astype(np.float32),
+                              frequencies.astype(np.float32))
+            feats += phases.astype(np.float32)
+            np.cos(feats, out=feats)
+            feats = feats.astype(np.float64)
+        else:
+            feats = np.matmul(matrix, frequencies)
+            feats += phases
+            np.cos(feats, out=feats)
+        feats *= np.sqrt(2.0 / m)
+        return feats
 
     def _features_for(self, table: Table, names: tuple[str, ...],
                       n_features: int) -> np.ndarray:
@@ -310,7 +339,8 @@ class RCIT(CITester):
         frequencies, phases = rff_draw(self._block_rng(table, names),
                                        block.shape[1], n_features, bandwidth)
         feats = self._rff_map(block, frequencies, phases, n_features)
-        return feats - feats.mean(axis=0, keepdims=True)
+        feats -= feats.mean(axis=0, keepdims=True)
+        return feats
 
     def _stacked_x_features(self, table: Table,
                             blocks: list[tuple[str, ...]]) -> np.ndarray:
@@ -333,7 +363,8 @@ class RCIT(CITester):
             frequencies[j], phases[j, 0] = rff_draw(
                 self._block_rng(table, names), d, m, bandwidth)
         feats = self._rff_map(stacked, frequencies, phases, m)
-        return feats - feats.mean(axis=1, keepdims=True)
+        feats -= feats.mean(axis=1, keepdims=True)
+        return feats
 
     def _group_eval(self, table: Table, y_names: tuple[str, ...],
                     z_names: tuple[str, ...],
@@ -341,17 +372,11 @@ class RCIT(CITester):
                     ) -> list[tuple[float, float]]:
         """``(p_value, statistic)`` per candidate sharing one (Y, Z) leg."""
         n = table.n_rows
-        fy = self._features_for(table, y_names,
-                                self._n_features_for(len(y_names)))
-        fz = projector = None
-        if z_names:
-            fz = self._features_for(table, z_names, self.n_features_z)
-            gram = fz.T @ fz + self.ridge * n * np.eye(fz.shape[1])
-            # One Cholesky factorisation serves the whole group.
-            projector = cho_solve(cho_factor(gram), fz.T)
-            fy = fy - fz @ (projector @ fy)
-        cov_y = fy.T @ fy / n
-        eig_y = np.maximum(np.linalg.eigvalsh(cov_y), 0.0)
+        fz = (self._features_for(table, z_names, self.n_features_z)
+              if z_names else None)
+        factor, fy, eig_y = table.derived_leg(
+            (y_names, z_names), (self.method, self.cache_token()),
+            lambda: self._y_leg(table, y_names, fz))
 
         out: list[tuple[float, float] | None] = [None] * len(x_blocks)
         by_cardinality: dict[int, list[int]] = {}
@@ -360,11 +385,31 @@ class RCIT(CITester):
         for members in by_cardinality.values():
             fx = self._stacked_x_features(
                 table, [x_blocks[j] for j in members])
-            if fz is not None:
-                fx = fx - np.matmul(fz, np.matmul(projector, fx))
             for slot, j in enumerate(members):
+                if fz is not None:
+                    _residualise(fx[slot], fz, factor)
                 out[j] = self._query_pvalue(fx[slot], fy, eig_y, n)
         return out
+
+    def _y_leg(self, table: Table, y_names: tuple[str, ...],
+               fz: np.ndarray | None
+               ) -> tuple[tuple | None, np.ndarray, np.ndarray]:
+        """The small, cacheable part of a ``(Y, Z)`` leg.
+
+        ``(Cholesky factor of the ridge Gram, Y residual, Y covariance
+        eigenvalues)``; the factor is ``None`` for an empty Z.
+        """
+        n = table.n_rows
+        fy = self._features_for(table, y_names,
+                                self._n_features_for(len(y_names)))
+        factor = None
+        if fz is not None:
+            gram = fz.T @ fz + self.ridge * n * np.eye(fz.shape[1])
+            factor = cho_factor(gram)
+            _residualise(fy, fz, factor)
+        eig_y = np.maximum(np.linalg.eigvalsh(fy.T @ fy / n), 0.0)
+        fy.setflags(write=False)
+        return factor, fy, eig_y
 
     def _query_pvalue(self, fx: np.ndarray, fy: np.ndarray,
                       eig_y: np.ndarray, n: int) -> tuple[float, float]:
@@ -388,8 +433,8 @@ class RCIT(CITester):
         """
         rng = as_generator(self._seed)
         n = x.shape[0]
-        xs = _standardize(x)
-        ys = _standardize(y)
+        xs = standardize_matrix(x)
+        ys = standardize_matrix(y)
         fx = random_fourier_features(xs, self._n_features_for(xs.shape[1]),
                                      median_bandwidth(xs, rng=rng), rng)
         fy = random_fourier_features(ys, self._n_features_for(ys.shape[1]),
@@ -398,15 +443,15 @@ class RCIT(CITester):
         fy = fy - fy.mean(axis=0, keepdims=True)
 
         if z is not None and z.shape[1] > 0:
-            zs = _standardize(z)
+            zs = standardize_matrix(z)
             fz = random_fourier_features(zs, self.n_features_z,
                                          median_bandwidth(zs, rng=rng), rng)
             fz = fz - fz.mean(axis=0, keepdims=True)
             gram = fz.T @ fz + self.ridge * n * np.eye(fz.shape[1])
             # Residualise both feature blocks on the Z features.
-            solve = np.linalg.solve(gram, fz.T)
-            fx = fx - fz @ (solve @ fx)
-            fy = fy - fz @ (solve @ fy)
+            factor = cho_factor(gram)
+            _residualise(fx, fz, factor)
+            _residualise(fy, fz, factor)
 
         cross_cov = fx.T @ fy / n
         statistic = float(n * np.sum(cross_cov ** 2))

@@ -32,7 +32,7 @@ backend's locality.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,6 +43,8 @@ from repro.data.backend import (ColumnBackend, HASH_BLOCK_ROWS,
                                 resolve_chunk_rows)
 from repro.data.schema import ColumnSpec, Kind, Role, TableSchema
 from repro.rng import SeedLike, as_generator
+
+_T = TypeVar("_T")
 
 
 def standardize_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -152,6 +154,9 @@ class Table:
         self._std_blocks: dict[tuple[str, ...], np.ndarray] = {}
         self._bandwidth_cache: dict[tuple, float] = {}
         self._subset_fingerprints: dict[tuple[str, ...], str] = {}
+        # Small kernel-side factors shared across a burst's groups (see
+        # derived_leg), keyed on block content fingerprints.
+        self._legs: dict[tuple, object] = {}
         # Prefix caches (the incremental-kernel substrate).  Per-column
         # *running* blake2b states over (name, dtype, kind, bytes): a
         # lineage child copies a parent's state and extends it with only
@@ -541,6 +546,27 @@ class Table:
             self._bandwidth_cache[key] = cached
         return cached
 
+    def derived_leg(self, blocks: Sequence[tuple[str, ...]], token: Hashable,
+                    build: Callable[[], _T]) -> _T:
+        """Memoised kernel state derived from the named column blocks.
+
+        Keyed on each block's ordered names *and* content
+        :meth:`fingerprint_of`, plus the caller's ``token`` (tester
+        method and :meth:`~repro.ci.base.CITester.cache_token`), so an
+        entry is a pure function of the data it was built from: a child
+        table adopts entries wholesale and an entry whose blocks changed
+        content simply never matches again.  ``build`` runs on a miss;
+        what it returns is shared by every later caller, so it must be
+        small and never mutated (the RCIT ``(Y, Z)`` leg factors, not
+        its ``n``-row feature maps).
+        """
+        key = (tuple((names, self.fingerprint_of(names)) for names in blocks),
+               token)
+        cached = self._legs.get(key)
+        if cached is None:
+            cached = self._legs[key] = build()
+        return cached  # type: ignore[return-value]
+
     def _joint_codes(self, key: tuple[str, ...]) -> tuple[np.ndarray, int]:
         """Mixed-radix combination of per-column codes, then densified.
 
@@ -654,9 +680,10 @@ class Table:
         for key, fp in parent._subset_fingerprints.items():
             if shared.issuperset(key):
                 self._subset_fingerprints[key] = fp
-        # Bandwidths are keyed on content fingerprints, never names, so
+        # Bandwidths and legs are keyed on content fingerprints, so
         # entries for replaced columns simply never match again.
         self._bandwidth_cache.update(parent._bandwidth_cache)
+        self._legs.update(parent._legs)
 
     # -- serialization -----------------------------------------------------
 
@@ -678,6 +705,7 @@ class Table:
         state["_std_blocks"] = {}
         state["_bandwidth_cache"] = {}
         state["_subset_fingerprints"] = {}
+        state["_legs"] = {}
         # Running hash states are not picklable (and all prefix state is
         # derived): workers rebuild lazily from the column values.
         state["_col_hashes"] = {}

@@ -11,6 +11,9 @@ The PR-4 contract, machine-checked:
   executor contract for continuous groups);
 * the Table's standardized-block/bandwidth caches behave as values
   (read-only, seed-keyed, dropped on pickling);
+* RCIT's cached ``(Y, Z)`` leg factors are served bitwise as a cold
+  table computes them, never survive pickling, and never outlive a
+  change to their Y or Z content in a derived table;
 * RIT verdicts never alias RCIT's conditional verdicts in a shared
   persistent store;
 * the KCIT micro-fixes (O(n^2) centring, elementwise traces) match the
@@ -288,6 +291,122 @@ class TestTableContinuousCaches:
         rebuilt = clone.standardized_block(("f0",))
         np.testing.assert_array_equal(rebuilt,
                                       table.standardized_block(("f0",)))
+
+
+class TestRCITLegCache:
+    """The per-table cache of RCIT's small ``(Y, Z)`` leg factors."""
+
+    Z = ("z1", "z2")
+
+    def queries(self, n_features):
+        return [CIQuery.make(f"f{i}", "y", self.Z) for i in range(n_features)]
+
+    def count_leg_builds(self, monkeypatch):
+        builds = []
+        original = RCIT._y_leg
+
+        def counting(tester, table, y_names, fz):
+            builds.append((y_names, table.fingerprint_of(y_names)))
+            return original(tester, table, y_names, fz)
+
+        monkeypatch.setattr(RCIT, "_y_leg", counting)
+        return builds
+
+    def test_cached_leg_bitwise_equals_cold_table(self, monkeypatch):
+        builds = self.count_leg_builds(monkeypatch)
+        table = build_table(seed=21, n_rows=120, n_features=4)
+        tester = RCIT(seed=3)
+        cold = [result_tuple(r)
+                for r in tester.test_batch(table, self.queries(4))]
+        assert len(builds) == 1 and len(table._legs) == 1
+        served = [result_tuple(r)
+                  for r in tester.test_batch(table, self.queries(4))]
+        assert len(builds) == 1  # the second batch was served
+        fresh = build_table(seed=21, n_rows=120, n_features=4)
+        assert served == cold == [
+            result_tuple(r) for r in tester.test_batch(fresh,
+                                                       self.queries(4))]
+        # The served factors are shared, so they must be read-only.
+        (factor, fy, eig_y), = table._legs.values()
+        assert not fy.flags.writeable
+
+    def test_leg_key_carries_tester_token(self, monkeypatch):
+        builds = self.count_leg_builds(monkeypatch)
+        table = build_table(seed=22, n_rows=90, n_features=2)
+        RCIT(seed=3).test_batch(table, self.queries(2))
+        RCIT(seed=4).test_batch(table, self.queries(2))
+        RCIT(seed=3, n_features_z=50).test_batch(table, self.queries(2))
+        assert len(builds) == 3 and len(table._legs) == 3
+
+    def test_pickled_table_carries_no_legs(self):
+        table = build_table(seed=23, n_rows=90, n_features=3)
+        tester = RCIT(seed=3)
+        warm = [result_tuple(r)
+                for r in tester.test_batch(table, self.queries(3))]
+        assert table._legs
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone._legs == {}
+        assert [result_tuple(r) for r in
+                tester.test_batch(clone, self.queries(3))] == warm
+
+    @pytest.mark.parametrize("changed", ["y", "z1", "z2"])
+    def test_with_column_never_serves_changed_content(self, changed,
+                                                      monkeypatch):
+        table = build_table(seed=24, n_rows=100, n_features=3)
+        tester = RCIT(seed=3)
+        tester.test_batch(table, self.queries(3))
+        rng = np.random.default_rng(99)
+        child = table.with_column(changed, rng.normal(size=table.n_rows))
+        builds = self.count_leg_builds(monkeypatch)
+        served = [result_tuple(r)
+                  for r in tester.test_batch(child, self.queries(3))]
+        assert len(builds) == 1  # rebuilt, not adopted
+        cold = Table({name: child[name] for name in child.columns})
+        assert served == [result_tuple(r) for r in
+                          tester.test_batch(cold, self.queries(3))]
+
+    def test_with_column_serves_unchanged_content(self, monkeypatch):
+        table = build_table(seed=25, n_rows=100, n_features=3)
+        tester = RCIT(seed=3)
+        tester.test_batch(table, self.queries(3))
+        child = table.with_column("extra", np.arange(table.n_rows) * 0.5)
+        builds = self.count_leg_builds(monkeypatch)
+        served = [result_tuple(r)
+                  for r in tester.test_batch(child, self.queries(3))]
+        assert builds == []  # adopted by content fingerprint
+        cold = Table({name: child[name] for name in child.columns})
+        assert served == [result_tuple(r) for r in
+                          tester.test_batch(cold, self.queries(3))]
+
+    def test_appended_rows_never_serve_parent_leg(self, monkeypatch):
+        table = build_table(seed=26, n_rows=100, n_features=3)
+        tester = RCIT(seed=3)
+        tester.test_batch(table, self.queries(3))
+        extra = build_table(seed=27, n_rows=20, n_features=3)
+        child = table.with_appended_rows(
+            {name: extra[name] for name in table.columns})
+        builds = self.count_leg_builds(monkeypatch)
+        served = [result_tuple(r)
+                  for r in tester.test_batch(child, self.queries(3))]
+        assert len(builds) == 1
+        cold = Table({name: child[name] for name in child.columns})
+        assert served == [result_tuple(r) for r in
+                          tester.test_batch(cold, self.queries(3))]
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(workload=workloads())
+    def test_fused_equals_sequential_with_warm_legs(self, workload):
+        table, queries = workload
+        for tester in (RCIT(seed=7), RIT(seed=7)):
+            cold = [result_tuple(r)
+                    for r in tester.test_batch(table, queries)]
+            assert table._legs  # every leg of the burst is now warm
+            sequential = [result_tuple(tester.test(table, q.x, q.y, q.z))
+                          for q in queries]
+            fused = [result_tuple(r)
+                     for r in tester.test_batch(table, queries)]
+            assert fused == sequential == cold, tester.method
 
 
 class TestKCITMicroFixParity:

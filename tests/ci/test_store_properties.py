@@ -9,7 +9,9 @@ Three contracts from the ROADMAP, machine-checked on random inputs:
   processes or threads sharing one path) never erase each other's
   committed entries;
 * **distinct cache tokens never collide** — differently-configured
-  testers can never share an entry, whatever their token values.
+  testers can never share an entry, whatever their token values;
+* **a kernel change retires its entries** — verdicts written under an
+  older RCIT kernel version read as misses.
 
 Plus the same discipline for :class:`ExperimentStore`'s selections file.
 """
@@ -24,7 +26,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.ci.base import CITestLedger
 from repro.ci.gtest import GTestCI
+from repro.ci.rcit import RCIT
 from repro.ci.store import (FORMAT_TAG, FORMAT_VERSION, SELECTIONS_TAG,
                             SELECTIONS_VERSION, ExperimentStore,
                             PersistentCICache, _key_string)
@@ -110,6 +114,35 @@ class TestTokenIsolation:
                          token=second) is None
         assert store.get("fp", query_key("x"), "g-test", 0.01,
                          token=first) == RECORD
+
+
+class ProjectorKernelRCIT(RCIT):
+    """Stand-in for an RCIT from before the projector-free kernel: its
+    ``cache_token`` is byte for byte what that release persisted."""
+
+    _DERIVATION = 2
+
+
+class TestKernelVersionIsolation:
+    def test_entry_under_old_kernel_token_is_a_miss(self, tmp_path):
+        """Regression: the projector-free kernel moves p-values at ~1e-11
+        relative, so a store must not serve verdicts the old kernel
+        wrote for the same seed, data and query."""
+        rng = np.random.default_rng(0)
+        table = Table({"x": rng.normal(size=150), "y": rng.normal(size=150),
+                       "z": rng.normal(size=150)})
+        path = tmp_path / "cache.json"
+        old = CITestLedger(ProjectorKernelRCIT(seed=3),
+                           cache=PersistentCICache(path))
+        old.test(table, "x", "y", ("z",))
+        old.flush_cache()
+        assert len(PersistentCICache(path)) == 1
+
+        current = CITestLedger(RCIT(seed=3), cache=PersistentCICache(path))
+        current.test(table, "x", "y", ("z",))
+        assert current.cache_hits == 0 and current.n_tests == 1
+        assert ProjectorKernelRCIT(seed=3).cache_token() != \
+            RCIT(seed=3).cache_token()
 
 
 class TestConcurrentSaves:
