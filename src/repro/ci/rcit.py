@@ -35,16 +35,17 @@ per-candidate covariances.
 Residualisation goes through the Cholesky factor directly,
 ``f - fz @ cho_solve(factor, fz.T @ f)``: the ``m_z x n`` projector (the
 Gram inverse applied to all of ``fz.T``) is never built, which was a third
-of a group's cost at adult size.  The small factors of a leg — the
-Cholesky factor, the Y residual (``n x m_y``, ``m_y`` = 5 for a single Y
-column) and the Y eigenvalues — are memoised per ``(Y, Z)`` content in the
-Table's derived-state tier (:meth:`~repro.data.table.Table.derived_leg`),
-so a GrpSel run that revisits a leg skips its Y map, Gram, factorisation
-and Y residual.  ``fz`` itself (``n x 100``, ~29 MB at adult) is
-recomputed for every group on purpose: GrpSel's BFS revisits the 16 Z
-subsets of the admissible set in a fixed cycle, once per level, so an LRU
-of fewer than 16 maps never hits, and keeping all 16 alive would add
-~460 MB to a ~240 MB peak.
+of a group's cost at adult size.  Only the Cholesky factor (``m_z x m_z``,
+80 KB) is memoised per Z content in the Table's derived-state tier
+(:meth:`~repro.data.table.Table.derived_leg`), so a group whose Z was seen
+before skips the ``n``-long Gram product.  The Y residual (``n x m_y``,
+~1.4 MB at adult) is recomputed: caching it per ``(Y, Z)`` as well saved
+another ~8% on adult GrpSel but kept 30-40 MB alive on adult workloads,
+and on SeqSel, whose legs never repeat, it only cost.  ``fz``
+(``n x 100``, ~29 MB at adult) is recomputed for every group on purpose:
+GrpSel's BFS revisits the 16 Z subsets of the admissible set in a fixed
+cycle, once per level, so an LRU of fewer than 16 maps never hits, and
+keeping all 16 alive would add ~460 MB to a ~240 MB peak.
 
 **Derivation rule** (the reason fusion is exact): with a value (int) seed,
 every variable block consumes a generator derived from
@@ -372,11 +373,16 @@ class RCIT(CITester):
                     ) -> list[tuple[float, float]]:
         """``(p_value, statistic)`` per candidate sharing one (Y, Z) leg."""
         n = table.n_rows
-        fz = (self._features_for(table, z_names, self.n_features_z)
-              if z_names else None)
-        factor, fy, eig_y = table.derived_leg(
-            (y_names, z_names), (self.method, self.cache_token()),
-            lambda: self._y_leg(table, y_names, fz))
+        fy = self._features_for(table, y_names,
+                                self._n_features_for(len(y_names)))
+        fz = factor = None
+        if z_names:
+            fz = self._features_for(table, z_names, self.n_features_z)
+            factor = table.derived_leg(
+                (z_names,), (self.method, self.cache_token()),
+                lambda: self._z_factor(fz))
+            _residualise(fy, fz, factor)
+        eig_y = np.maximum(np.linalg.eigvalsh(fy.T @ fy / n), 0.0)
 
         out: list[tuple[float, float] | None] = [None] * len(x_blocks)
         by_cardinality: dict[int, list[int]] = {}
@@ -391,25 +397,12 @@ class RCIT(CITester):
                 out[j] = self._query_pvalue(fx[slot], fy, eig_y, n)
         return out
 
-    def _y_leg(self, table: Table, y_names: tuple[str, ...],
-               fz: np.ndarray | None
-               ) -> tuple[tuple | None, np.ndarray, np.ndarray]:
-        """The small, cacheable part of a ``(Y, Z)`` leg.
-
-        ``(Cholesky factor of the ridge Gram, Y residual, Y covariance
-        eigenvalues)``; the factor is ``None`` for an empty Z.
-        """
-        n = table.n_rows
-        fy = self._features_for(table, y_names,
-                                self._n_features_for(len(y_names)))
-        factor = None
-        if fz is not None:
-            gram = fz.T @ fz + self.ridge * n * np.eye(fz.shape[1])
-            factor = cho_factor(gram)
-            _residualise(fy, fz, factor)
-        eig_y = np.maximum(np.linalg.eigvalsh(fy.T @ fy / n), 0.0)
-        fy.setflags(write=False)
-        return factor, fy, eig_y
+    def _z_factor(self, fz: np.ndarray) -> tuple:
+        """Cholesky factor of the ridge Gram of ``fz`` (read-only: cached)."""
+        gram = fz.T @ fz + self.ridge * fz.shape[0] * np.eye(fz.shape[1])
+        factor = cho_factor(gram)
+        factor[0].setflags(write=False)
+        return factor
 
     def _query_pvalue(self, fx: np.ndarray, fy: np.ndarray,
                       eig_y: np.ndarray, n: int) -> tuple[float, float]:

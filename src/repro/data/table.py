@@ -553,12 +553,13 @@ class Table:
         Keyed on each block's ordered names *and* content
         :meth:`fingerprint_of`, plus the caller's ``token`` (tester
         method and :meth:`~repro.ci.base.CITester.cache_token`), so an
-        entry is a pure function of the data it was built from: a child
-        table adopts entries wholesale and an entry whose blocks changed
-        content simply never matches again.  ``build`` runs on a miss;
-        what it returns is shared by every later caller, so it must be
-        small and never mutated (the RCIT ``(Y, Z)`` leg factors, not
-        its ``n``-row feature maps).
+        entry is a pure function of the data it was built from.  A
+        projection or column-addition child adopts the entries whose
+        columns it carries over unchanged; it drops the rest, which
+        could never match again.  ``build`` runs on a miss; what it
+        returns is shared by every later caller, so it must be small and
+        read-only (the RCIT ridge Gram factor of a Z block, not its
+        ``n``-row feature maps).
         """
         key = (tuple((names, self.fingerprint_of(names)) for names in blocks),
                token)
@@ -680,10 +681,13 @@ class Table:
         for key, fp in parent._subset_fingerprints.items():
             if shared.issuperset(key):
                 self._subset_fingerprints[key] = fp
-        # Bandwidths and legs are keyed on content fingerprints, so
-        # entries for replaced columns simply never match again.
+        # Bandwidths are keyed on content fingerprints, so entries for
+        # replaced columns simply never match again.
         self._bandwidth_cache.update(parent._bandwidth_cache)
-        self._legs.update(parent._legs)
+        # Legs are too, but hold arrays: keep only those a child can match.
+        for key, leg in parent._legs.items():
+            if all(shared.issuperset(names) for names, _ in key[0]):
+                self._legs[key] = leg
 
     # -- serialization -----------------------------------------------------
 

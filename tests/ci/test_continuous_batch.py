@@ -294,26 +294,31 @@ class TestTableContinuousCaches:
 
 
 class TestRCITLegCache:
-    """The per-table cache of RCIT's small ``(Y, Z)`` leg factors."""
+    """The per-table cache of RCIT's ridge Gram factor per Z block."""
 
     Z = ("z1", "z2")
 
-    def queries(self, n_features):
-        return [CIQuery.make(f"f{i}", "y", self.Z) for i in range(n_features)]
+    def queries(self, n_features, y="y"):
+        return [CIQuery.make(f"f{i}", y, self.Z) for i in range(n_features)]
 
-    def count_leg_builds(self, monkeypatch):
+    def count_factor_builds(self, monkeypatch):
         builds = []
-        original = RCIT._y_leg
+        original = RCIT._z_factor
 
-        def counting(tester, table, y_names, fz):
-            builds.append((y_names, table.fingerprint_of(y_names)))
-            return original(tester, table, y_names, fz)
+        def counting(tester, fz):
+            builds.append(fz.shape)
+            return original(tester, fz)
 
-        monkeypatch.setattr(RCIT, "_y_leg", counting)
+        monkeypatch.setattr(RCIT, "_z_factor", counting)
         return builds
 
-    def test_cached_leg_bitwise_equals_cold_table(self, monkeypatch):
-        builds = self.count_leg_builds(monkeypatch)
+    def assert_matches_cold_table(self, tester, table, queries, served):
+        cold = Table({name: table[name] for name in table.columns})
+        assert served == [result_tuple(r)
+                          for r in tester.test_batch(cold, queries)]
+
+    def test_cached_factor_bitwise_equals_cold_table(self, monkeypatch):
+        builds = self.count_factor_builds(monkeypatch)
         table = build_table(seed=21, n_rows=120, n_features=4)
         tester = RCIT(seed=3)
         cold = [result_tuple(r)
@@ -322,16 +327,25 @@ class TestRCITLegCache:
         served = [result_tuple(r)
                   for r in tester.test_batch(table, self.queries(4))]
         assert len(builds) == 1  # the second batch was served
-        fresh = build_table(seed=21, n_rows=120, n_features=4)
-        assert served == cold == [
-            result_tuple(r) for r in tester.test_batch(fresh,
-                                                       self.queries(4))]
-        # The served factors are shared, so they must be read-only.
-        (factor, fy, eig_y), = table._legs.values()
-        assert not fy.flags.writeable
+        assert served == cold
+        self.assert_matches_cold_table(tester, table, self.queries(4), served)
+        # The served factor is shared, so it must be read-only.
+        (factor, _lower), = table._legs.values()
+        assert not factor.flags.writeable
 
-    def test_leg_key_carries_tester_token(self, monkeypatch):
-        builds = self.count_leg_builds(monkeypatch)
+    def test_factor_is_shared_across_y(self, monkeypatch):
+        builds = self.count_factor_builds(monkeypatch)
+        table = build_table(seed=28, n_rows=110, n_features=4)
+        tester = RCIT(seed=3)
+        tester.test_batch(table, self.queries(3))
+        served = [result_tuple(r)
+                  for r in tester.test_batch(table, self.queries(3, y="f3"))]
+        assert len(builds) == 1
+        self.assert_matches_cold_table(tester, table, self.queries(3, y="f3"),
+                                       served)
+
+    def test_key_carries_tester_token(self, monkeypatch):
+        builds = self.count_factor_builds(monkeypatch)
         table = build_table(seed=22, n_rows=90, n_features=2)
         RCIT(seed=3).test_batch(table, self.queries(2))
         RCIT(seed=4).test_batch(table, self.queries(2))
@@ -349,49 +363,45 @@ class TestRCITLegCache:
         assert [result_tuple(r) for r in
                 tester.test_batch(clone, self.queries(3))] == warm
 
-    @pytest.mark.parametrize("changed", ["y", "z1", "z2"])
-    def test_with_column_never_serves_changed_content(self, changed,
-                                                      monkeypatch):
+    @pytest.mark.parametrize("changed", ["z1", "z2"])
+    def test_with_column_never_serves_changed_z(self, changed, monkeypatch):
         table = build_table(seed=24, n_rows=100, n_features=3)
         tester = RCIT(seed=3)
         tester.test_batch(table, self.queries(3))
         rng = np.random.default_rng(99)
         child = table.with_column(changed, rng.normal(size=table.n_rows))
-        builds = self.count_leg_builds(monkeypatch)
+        assert child._legs == {}  # a factor over replaced content is dropped
+        builds = self.count_factor_builds(monkeypatch)
         served = [result_tuple(r)
                   for r in tester.test_batch(child, self.queries(3))]
         assert len(builds) == 1  # rebuilt, not adopted
-        cold = Table({name: child[name] for name in child.columns})
-        assert served == [result_tuple(r) for r in
-                          tester.test_batch(cold, self.queries(3))]
+        self.assert_matches_cold_table(tester, child, self.queries(3), served)
 
-    def test_with_column_serves_unchanged_content(self, monkeypatch):
+    @pytest.mark.parametrize("changed", ["y", "extra"])
+    def test_with_column_serves_unchanged_z(self, changed, monkeypatch):
         table = build_table(seed=25, n_rows=100, n_features=3)
         tester = RCIT(seed=3)
         tester.test_batch(table, self.queries(3))
-        child = table.with_column("extra", np.arange(table.n_rows) * 0.5)
-        builds = self.count_leg_builds(monkeypatch)
+        child = table.with_column(changed, np.arange(table.n_rows) * 0.5)
+        assert len(child._legs) == 1
+        builds = self.count_factor_builds(monkeypatch)
         served = [result_tuple(r)
                   for r in tester.test_batch(child, self.queries(3))]
         assert builds == []  # adopted by content fingerprint
-        cold = Table({name: child[name] for name in child.columns})
-        assert served == [result_tuple(r) for r in
-                          tester.test_batch(cold, self.queries(3))]
+        self.assert_matches_cold_table(tester, child, self.queries(3), served)
 
-    def test_appended_rows_never_serve_parent_leg(self, monkeypatch):
+    def test_appended_rows_never_serve_parent_factor(self, monkeypatch):
         table = build_table(seed=26, n_rows=100, n_features=3)
         tester = RCIT(seed=3)
         tester.test_batch(table, self.queries(3))
         extra = build_table(seed=27, n_rows=20, n_features=3)
         child = table.with_appended_rows(
             {name: extra[name] for name in table.columns})
-        builds = self.count_leg_builds(monkeypatch)
+        builds = self.count_factor_builds(monkeypatch)
         served = [result_tuple(r)
                   for r in tester.test_batch(child, self.queries(3))]
         assert len(builds) == 1
-        cold = Table({name: child[name] for name in child.columns})
-        assert served == [result_tuple(r) for r in
-                          tester.test_batch(cold, self.queries(3))]
+        self.assert_matches_cold_table(tester, child, self.queries(3), served)
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -401,7 +411,8 @@ class TestRCITLegCache:
         for tester in (RCIT(seed=7), RIT(seed=7)):
             cold = [result_tuple(r)
                     for r in tester.test_batch(table, queries)]
-            assert table._legs  # every leg of the burst is now warm
+            # Every non-empty Z of the burst now has its factor cached.
+            assert len(table._legs) >= bool(any(q.z for q in queries))
             sequential = [result_tuple(tester.test(table, q.x, q.y, q.z))
                           for q in queries]
             fused = [result_tuple(r)
