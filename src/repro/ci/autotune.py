@@ -1,9 +1,7 @@
 """Measured executor auto-tuning for the CI engine.
 
-``BENCH_multiquery.json`` measured the threaded RCIT shard path at
-~0.4x *serial* — the GIL serialises the numpy-light stretches of the
-kernel, so "more workers" is a pessimisation for some (tester, machine)
-pairs while a genuine win for others (process pools on fused G-test
+Sharding a burst across workers is a pessimisation for some (tester,
+machine) pairs and a win for others (process pools on fused G-test
 bursts).  Guessing is the bug; this module replaces the guess with a
 measurement:
 
@@ -18,9 +16,9 @@ measurement:
 * :meth:`Calibration.choose` picks the executor for a tester by the
   **never-slower-than-serial rule**: a pooled executor is selected only
   when its measured time beats serial's on the same probe; anything
-  unmeasured resolves to serial.  The 0.37x regression is thereby
-  retired *by construction* — a path measured slower than serial cannot
-  be chosen.
+  unmeasured resolves to serial, and so does a recorded executor name
+  this version no longer has.  A path measured slower than serial
+  cannot be chosen.
 * :func:`~repro.ci.executor.default_executor` consults the active
   calibration (``REPRO_CI_CALIBRATION`` env var, or
   :func:`set_active_calibration`) when ``REPRO_CI_EXECUTOR`` is unset.
@@ -42,7 +40,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro import env
-from repro.ci.store import _SAVE_LOCK, _read_document, _write_document
+from repro.ci.executor import EXECUTORS
+from repro.ci.store import _merge_save, _read_document
 from repro.rng import as_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -58,7 +57,7 @@ CALIBRATION_VERSION = 1
 
 #: Executor names the probe always measures, serial first (the baseline
 #: of the never-slower-than-serial rule).
-PROBE_EXECUTORS = ("serial", "threads", "process")
+PROBE_EXECUTORS = ("serial", "process")
 
 
 def probe_executors() -> tuple[str, ...]:
@@ -84,12 +83,12 @@ class Calibration:
 
     Entries map measurement keys to records
     ``{"seconds": {executor: best-of-repeats}, "chosen": name,
-    "n_rows": int}``; ``chosen`` is precomputed by the
-    never-slower-than-serial rule at record time so consumers need no
-    policy of their own.  Persistence follows the store conventions:
-    versioned document, merge with on-disk state under the save lock,
-    atomic replace — concurrent probes on a shared store tree cannot
-    clobber each other.
+    "n_rows": int}``; ``chosen`` is the never-slower-than-serial verdict
+    at record time, for reports.  :meth:`choose` re-applies the rule to
+    ``seconds``, so it only ever names an executor that still exists.
+    Persistence follows the store conventions: versioned document, merge
+    with on-disk state under the cross-process save lock, atomic replace
+    — concurrent probes on a shared store tree cannot clobber each other.
     """
 
     def __init__(self, path: str | os.PathLike | None = None,
@@ -110,14 +109,9 @@ class Calibration:
         """Merge-write to :attr:`path` (no-op when clean or pathless)."""
         if not self._dirty or self.path is None:
             return
-        with _SAVE_LOCK:
-            merged = _read_document(self.path, CALIBRATION_TAG,
-                                    CALIBRATION_VERSION)
-            merged.update(self._entries)
-            self._entries = merged
-            _write_document(self.path, CALIBRATION_TAG, CALIBRATION_VERSION,
-                            merged)
-            self._dirty = False
+        self._entries = _merge_save(self.path, CALIBRATION_TAG,
+                                    CALIBRATION_VERSION, self._entries)
+        self._dirty = False
 
     # -- recording ----------------------------------------------------------
 
@@ -158,7 +152,7 @@ class Calibration:
             except (json.JSONDecodeError, ValueError):
                 continue
             if entry_method == method and entry_backend == backend:
-                sized[int(entry_size)] = str(entry.get("chosen", "serial"))
+                sized[int(entry_size)] = _choose_from(entry.get("seconds", {}))
         if not sized:
             return "serial"
         if batch_size is not None:
@@ -192,14 +186,17 @@ def _choose_from(seconds: dict[str, float]) -> str:
 
     Serial missing → serial (no baseline, no evidence to leave it).  A
     pooled executor is chosen only with a *strictly* faster measurement
-    than serial's; ties keep serial.
+    than serial's; ties keep serial.  Names :data:`EXECUTORS` does not
+    resolve (an executor a calibration file recorded before it was
+    removed) are skipped, so a stale file can never make
+    ``default_executor`` raise.
     """
     baseline = seconds.get("serial")
     if baseline is None:
         return "serial"
     chosen, best = "serial", float(baseline)
     for name, value in sorted(seconds.items()):
-        if name != "serial" and float(value) < best:
+        if name != "serial" and name in EXECUTORS and float(value) < best:
             chosen, best = name, float(value)
     return chosen
 

@@ -58,10 +58,9 @@ Two further layers are pluggable on the ledger:
   invariant — ``cache_hits``, never ledger entries.
 * ``executor`` (default :class:`~repro.ci.executor.SerialExecutor`)
   decides how the cache-miss remainder of a batch is evaluated;
-  :class:`~repro.ci.executor.ThreadedExecutor` shards it across a thread
-  pool, which pays off for continuous-backend (RCIT) batches.  Executors
-  only ever see queries the ledger already decided to execute, so they
-  cannot change ``n_tests``.
+  :class:`~repro.ci.executor.ProcessExecutor` shards it across worker
+  processes.  Executors only ever see queries the ledger already decided
+  to execute, so they cannot change ``n_tests``.
 """
 
 from __future__ import annotations
@@ -203,12 +202,8 @@ class CITester:
         serial execution consumes one evolving stream, while each worker
         would replay an identical pickled snapshot of it — verdicts
         diverge.  :class:`~repro.ci.executor.ProcessExecutor` keeps such
-        testers in the calling process, and
-        :class:`~repro.ci.executor.ThreadedExecutor` refuses to shard
-        them for the sibling reason (``Generator`` is not thread-safe, so
-        concurrent shards would draw in scheduling order).  Value seeds
-        (int/None) are safe: every copy derives the same (or an equally
-        fresh) stream per test.
+        testers in the calling process.  Value seeds (int/None) are safe:
+        every copy derives the same (or an equally fresh) stream per test.
         """
         return True
 
@@ -417,19 +412,8 @@ class CITestLedger(CITester):
             self.store.save()
 
     def test(self, table: Table, x, y, z=()) -> CIResult:
-        query = CIQuery.make(x, y, z)
-        if self._cache_enabled:
-            cached = self._cache_get(table, query)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-        start = time.perf_counter()
-        result = self.inner.test(table, x, y, z)
-        elapsed = time.perf_counter() - start
-        self.entries.append(LedgerEntry(query, result, elapsed))
-        if self._cache_enabled:
-            self._cache_put(table, query, result)
-        return result
+        # One cache and accounting path: a single test is a batch of one.
+        return self.test_batch(table, [CIQuery.make(x, y, z)])[0]
 
     def test_batch(self, table: Table, queries: Iterable[CIQuery | tuple],
                    stop_on_independent: bool = False
@@ -450,9 +434,7 @@ class CITestLedger(CITester):
         if stop_on_independent:
             prefix: list[CIResult] = []
             for query in queries:
-                if not isinstance(query, CIQuery):
-                    query = CIQuery.make(*query)
-                result = self.test(table, query.x, query.y, query.z)
+                result = self.test_batch(table, [query])[0]
                 prefix.append(result)
                 if result.independent:
                     break

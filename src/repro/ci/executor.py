@@ -8,18 +8,13 @@ remainder through an executor, which decides *how* the inner tester's
   thread.  Preserves whole-batch kernel fusion (the discrete backends fuse
   same-``(Y, Z)`` queries into one counting pass), so it is the right
   choice for discrete-dominated workloads.
-* :class:`ThreadedExecutor` — shards the batch into contiguous runs and
-  evaluates the shards on a thread pool.  Worthwhile for
-  continuous-backend batches (RCIT/KCIT spend their time in BLAS kernels,
-  which release the GIL), where per-query wall clock dominates and fusion
-  across queries buys nothing.
 * :class:`ProcessExecutor` — shards the batch across worker *processes*.
   This is the only executor that scales a discrete (G-test) burst past the
   GIL: the fused counting kernels are pure-numpy integer work that holds
-  the GIL, so threads cannot help them, but two processes each fusing half
-  a burst can.  Workers receive the ``(tester, table)`` pair once at pool
-  start-up (spawn-safe pickling; the table ships without its lazy caches
-  and re-warms its ``discrete_codes`` per worker) and the pool is kept
+  the GIL, but two processes each fusing half a burst can.  Workers
+  receive the ``(tester, table)`` pair once at pool start-up (spawn-safe
+  pickling; the table ships without its lazy caches and re-warms its
+  ``discrete_codes`` per worker) and the pool is kept
   alive across calls for the same pair, so a selection run pays the
   process start-up cost once, not per burst.
 * :class:`RemoteExecutor` — shards the batch onto a
@@ -41,17 +36,17 @@ the input order, every query is executed exactly once, and cost
 accounting (ledger entries, early exit, caching) stays in the ledger —
 an executor never sees cached queries and cannot change ``n_tests``.
 
-Error contract: a failure inside a :class:`ThreadedExecutor` or
-:class:`ProcessExecutor` worker surfaces as
-:class:`~repro.exceptions.CITestError` with the offending
+Error contract: a failure inside a :class:`ProcessExecutor` or
+:class:`RemoteExecutor` run (sharded, or inline below ``min_batch``)
+surfaces as :class:`~repro.exceptions.CITestError` with the offending
 :class:`~repro.ci.base.CIQuery` attached as ``error.query`` (``None`` when
 the failure cannot be pinned to one query, e.g. a crashed worker process)
 — never as a bare pool exception.  :class:`SerialExecutor` stays fully
 transparent: the caller's thread sees the original exception.
 
 The process-wide default executor is configurable through the
-``REPRO_CI_EXECUTOR`` environment variable (``serial`` / ``threads`` /
-``process``; worker count via ``REPRO_CI_JOBS``, multiprocessing start
+``REPRO_CI_EXECUTOR`` environment variable (``serial`` / ``process`` /
+``remote``; worker count via ``REPRO_CI_JOBS``, multiprocessing start
 method via ``REPRO_CI_MP_CONTEXT``), which is how the CI matrix runs the
 whole test suite under process execution to enforce the equivalence
 contract.
@@ -64,7 +59,6 @@ import os
 import pickle
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Sequence
@@ -166,59 +160,6 @@ class SerialExecutor(BatchExecutor):
     def run(self, tester: "CITester", table: "Table",
             queries: Sequence["CIQuery"]) -> list["CIResult"]:
         return tester.test_batch(table, queries)
-
-
-class ThreadedExecutor(BatchExecutor):
-    """Shard the batch across a thread pool.
-
-    ``n_workers`` defaults to ``min(8, cpu_count)``.  Batches smaller than
-    ``min_batch`` run serially — thread startup costs more than it saves
-    on a handful of queries.  Shards are contiguous runs of the input, so
-    result order is preserved by construction.
-
-    Callers sharing one table across threads should
-    :meth:`~repro.data.table.Table.warm_cache` it first: the table's lazy
-    per-column caches are safe under concurrent reads (worst case a value
-    is computed twice), but warming avoids that duplicated work.
-
-    A worker exception is re-raised as :class:`CITestError` with the
-    offending query attached as ``error.query`` (see the module
-    docstring); the small-batch serial fallback gets the same treatment so
-    error behaviour does not depend on the batch size.
-
-    Testers that collect observable state (an injected
-    :class:`~repro.ci.base.CITestLedger`) or consume a shared live
-    ``Generator`` stream (``process_safe() is False``) run serially in
-    the calling thread instead: concurrent shards would interleave their
-    mutations — cache races for the former, scheduling-dependent draw
-    order for the latter — breaking the bitwise-equivalence contract.
-    """
-
-    name = "threads"
-
-    def __init__(self, n_workers: int | None = None,
-                 min_batch: int = 8) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers or min(8, os.cpu_count() or 1)
-        self.min_batch = min_batch
-
-    def run(self, tester: "CITester", table: "Table",
-            queries: Sequence["CIQuery"]) -> list["CIResult"]:
-        queries = list(queries)
-        if (self.n_workers < 2
-                or len(queries) < max(2, self.min_batch)
-                or getattr(tester, "collects_state", False)
-                or not _process_safe(tester)):
-            return _run_shard(tester, table, queries)
-        shards = _contiguous_shards(queries, min(self.n_workers, len(queries)))
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            futures = [pool.submit(_run_shard, tester, table, shard)
-                       for shard in shards]
-            return [result for future in futures for result in future.result()]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThreadedExecutor(n_workers={self.n_workers})"
 
 
 def _process_safe(tester: "CITester") -> bool:
@@ -660,18 +601,19 @@ class RemoteExecutor(BatchExecutor):
                 f"queue={self._spec or self._queue!r})")
 
 
+#: Every executor :func:`executor_by_name` resolves, by ``name``.
+EXECUTORS: dict[str, type[BatchExecutor]] = {
+    cls.name: cls for cls in (SerialExecutor, ProcessExecutor, RemoteExecutor)
+}
+
+
 def executor_by_name(name: str, **kwargs) -> BatchExecutor:
     """Look up an executor by its ``name`` attribute
-    (``serial``/``threads``/``process``/``remote``)."""
-    executors: dict[str, type[BatchExecutor]] = {
-        cls.name: cls
-        for cls in (SerialExecutor, ThreadedExecutor, ProcessExecutor,
-                    RemoteExecutor)
-    }
-    if name not in executors:
+    (``serial``/``process``/``remote``)."""
+    if name not in EXECUTORS:
         raise ValueError(f"unknown executor {name!r}; "
-                         f"choose from {sorted(executors)}")
-    return executors[name](**kwargs)
+                         f"choose from {sorted(EXECUTORS)}")
+    return EXECUTORS[name](**kwargs)
 
 
 # Pooled default executors are memoised per environment configuration:
@@ -689,8 +631,7 @@ def default_executor(tester: "CITester | None" = None) -> BatchExecutor:
     be switched onto a different execution strategy without touching call
     sites — the equivalence contract guarantees identical results/counts:
 
-    * ``REPRO_CI_EXECUTOR`` — ``serial``, ``threads``, ``process``,
-      ``remote``
+    * ``REPRO_CI_EXECUTOR`` — ``serial``, ``process``, ``remote``
     * ``REPRO_CI_JOBS`` — worker count for the pooled executors (shard
       count for ``remote``)
     * ``REPRO_CI_MP_CONTEXT`` — start method for ``process``
@@ -707,9 +648,7 @@ def default_executor(tester: "CITester | None" = None) -> BatchExecutor:
     ``REPRO_CI_CALIBRATION`` env var or an in-process override) the
     executor measured fastest for ``tester``'s method is used, under the
     never-slower-than-serial rule.  Without calibration the default is
-    serial for every tester — in particular the threads shard, measured
-    at ~0.4x serial for RCIT/KCIT
-    (``BENCH_multiquery.json``), can never be picked by guesswork.
+    serial for every tester: no pooled path is picked by guesswork.
 
     Pooled executors are shared process-wide per configuration (they are
     thread-safe), so every ledger in a run amortises one worker pool;

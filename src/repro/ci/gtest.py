@@ -31,8 +31,6 @@ stratified fallback for queries that are individually over budget).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import stats
 
@@ -83,31 +81,19 @@ class GTestCI(CITester):
     ``min_expected`` guards the asymptotic approximation: strata whose
     minimum *expected* cell count (over the levels present in the stratum)
     falls below it contribute no degrees of freedom rather than a
-    misleading statistic.  ``min_count`` is a deprecated alias kept for
-    backwards compatibility — earlier releases thresholded the raw stratum
-    size instead of the documented expected counts.
+    misleading statistic.
     """
 
     method = "g-test"
 
-    def __init__(self, alpha: float = 0.01, *, min_expected: float = 0.0,
-                 min_count: int | None = None) -> None:
-        # Keyword-only: the second positional slot used to be the raw-size
-        # min_count guard, whose semantics this class no longer implements.
+    def __init__(self, alpha: float = 0.01, *,
+                 min_expected: float = 0.0) -> None:
+        # Keyword-only: the second positional slot used to be a raw-size
+        # guard, whose semantics this class does not implement.
         super().__init__(alpha=alpha)
-        if min_count is not None:
-            warnings.warn(
-                "min_count is deprecated; use min_expected (expected-count "
-                "guard) instead", DeprecationWarning, stacklevel=2)
-            min_expected = float(min_count)
         if min_expected < 0:
             raise CITestError(f"min_expected must be >= 0, got {min_expected}")
         self.min_expected = float(min_expected)
-
-    @property
-    def min_count(self) -> float:
-        """Deprecated alias of :attr:`min_expected`."""
-        return self.min_expected
 
     def cache_token(self) -> tuple:
         return (("min_expected", self.min_expected),)

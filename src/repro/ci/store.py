@@ -32,15 +32,16 @@ Format: single JSON documents with explicit ``format`` tags and
 ``version`` numbers.  Unreadable, foreign, or future-versioned files are
 treated as empty (the caches are pure accelerators — losing one is always
 safe); saving rewrites the file atomically via a temp file + rename,
-*merging* with whatever is on disk first so interleaved savers (sibling
-processes sharing one suite store) never erase each other's committed
-entries.  Only use a shared store with *deterministic* testers: a
-stochastic tester (e.g. RCIT without a seed) would pin one draw of its
-verdict forever.
+*merging* with whatever is on disk first, under a ``flock`` of
+``<path>.lock``, so concurrent savers (sibling processes sharing one
+suite store) never erase each other's entries.  Only use a shared
+store with *deterministic* testers: a stochastic tester (e.g. RCIT
+without a seed) would pin one draw of its verdict forever.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
@@ -76,11 +77,7 @@ SELECTIONS_TAG = "repro-selection-cache"
 SELECTIONS_VERSION = 1
 
 # Serialises the read-merge-write critical section of every save in this
-# process, so in-process concurrent saves (threaded sweeps sharing a path)
-# can never interleave destructively.  Cross-process savers are protected
-# by the merge pass + atomic rename: a committed entry survives any
-# ordering of whole saves, though two truly simultaneous cross-process
-# writes may each miss the other's *uncommitted-at-read-time* additions.
+# process; :func:`_merge_save` adds the cross-process half.
 _SAVE_LOCK = threading.RLock()
 
 
@@ -162,6 +159,29 @@ def _write_document(path: str, tag: str, version: int,
         raise
 
 
+def _merge_save(path: str, tag: str, version: int,
+                entries: Mapping[str, dict]) -> dict[str, dict]:
+    """Merge ``entries`` over the document at ``path`` and write it back
+    atomically; returns the merged entries.  ``entries`` win key
+    conflicts; a failed write raises :class:`OSError`.
+
+    The read-merge-write runs under :data:`_SAVE_LOCK` for this process's
+    threads and a POSIX ``flock`` of ``<path>.lock`` for other processes.
+    Without the latter, two processes saving at once each merge against
+    a file that lacks the other's entries, and the later rename drops
+    the earlier writer's additions.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with _SAVE_LOCK:
+        faults.inject("store.lock")
+        with open(path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when lock closes
+            merged = _read_document(path, tag, version)
+            merged.update(entries)
+            _write_document(path, tag, version, merged)
+            return merged
+
+
 def _key_string(fingerprint: str, query_key: tuple, method: str,
                 alpha: float, token: tuple = ()) -> str:
     """Deterministic string form of one cache key.
@@ -217,23 +237,19 @@ class PersistentCICache:
         our entries win any key conflict."""
         if not self._dirty:
             return
-        with _SAVE_LOCK:
-            merged = self._load()
-            merged.update(self._entries)
-            self._entries = merged
-            try:
-                _write_document(self.path, FORMAT_TAG, FORMAT_VERSION,
-                                merged)
-            except OSError as exc:
-                # Keep the dirty count: entries stay in memory and the
-                # next save retries — a flaky disk costs durability
-                # timing, never data.
-                warnings.warn(
-                    f"CI cache save to {self.path!r} failed ({exc}); "
-                    "entries retained in memory for the next save",
-                    RuntimeWarning, stacklevel=2)
-                return
-            self._dirty = 0
+        try:
+            self._entries = _merge_save(self.path, FORMAT_TAG,
+                                        FORMAT_VERSION, self._entries)
+        except OSError as exc:
+            # Keep the dirty count: entries stay in memory and the next
+            # save retries — a flaky disk costs durability timing, never
+            # data.
+            warnings.warn(
+                f"CI cache save to {self.path!r} failed ({exc}); "
+                "entries retained in memory for the next save",
+                RuntimeWarning, stacklevel=2)
+            return
+        self._dirty = 0
 
     # -- record access ------------------------------------------------------
 
@@ -528,21 +544,17 @@ class ExperimentStore:
     def _save_selections(self) -> None:
         if not self._dirty:
             return
-        with _SAVE_LOCK:
-            merged = _read_document(self.selections_path, SELECTIONS_TAG,
-                                    SELECTIONS_VERSION)
-            merged.update(self._selections)
-            self._selections = merged
-            try:
-                _write_document(self.selections_path, SELECTIONS_TAG,
-                                SELECTIONS_VERSION, merged)
-            except OSError as exc:
-                warnings.warn(
-                    f"selection store save to {self.selections_path!r} "
-                    f"failed ({exc}); entries retained in memory for the "
-                    "next save", RuntimeWarning, stacklevel=2)
-                return
-            self._dirty = 0
+        try:
+            self._selections = _merge_save(
+                self.selections_path, SELECTIONS_TAG, SELECTIONS_VERSION,
+                self._selections)
+        except OSError as exc:
+            warnings.warn(
+                f"selection store save to {self.selections_path!r} "
+                f"failed ({exc}); entries retained in memory for the "
+                "next save", RuntimeWarning, stacklevel=2)
+            return
+        self._dirty = 0
 
     def save(self) -> None:
         """Flush the selections file and every opened CI-cache namespace."""

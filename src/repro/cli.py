@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "append N rows with every batch after the "
                              "first (exercises the prefix-cached table "
                              "kernels); default: the full table throughout")
-    stream.add_argument("--delta", choices=("column", "coarse", "off"),
+    stream.add_argument("--delta", choices=("column", "off"),
                         default=None,
                         help="delta-reuse policy gating phase-2 retries "
                              "of previously decided features (default: "

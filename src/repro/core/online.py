@@ -32,8 +32,6 @@ changed.  The policy (``delta=`` or ``REPRO_STREAM_DELTA``):
   changed content, or its *own* column did.  A feature whose query
   touches only unchanged columns keeps its verdict — localized drift
   (one revised source column) re-queues one feature, not all of them.
-* ``coarse`` — the pre-delta behaviour: one union fingerprint over every
-  involved column; any change re-queues everything decided.
 * ``off`` — every decided feature is re-queued on every batch (the
   from-scratch reference the delta-reuse property tests compare against).
 
@@ -72,7 +70,7 @@ from repro.exceptions import SelectionError
 #: Env override for the delta-reuse policy (see module docstring).
 ENV_STREAM_DELTA = _env.STREAM_DELTA.name
 
-_DELTA_POLICIES = ("column", "coarse", "off")
+_DELTA_POLICIES = ("column", "off")
 
 
 class OnlineSelector:
@@ -84,7 +82,7 @@ class OnlineSelector:
     full pool would produce whenever the CI tester is consistent (exact
     for the d-separation oracle).
 
-    ``delta`` picks the delta-reuse policy (``column``/``coarse``/``off``,
+    ``delta`` picks the delta-reuse policy (``column``/``off``,
     see the module docstring); ``None`` defers to ``REPRO_STREAM_DELTA``.
     """
 
@@ -112,13 +110,11 @@ class OnlineSelector:
         self._rejected: list[str] = []
         self._seen: set[str] = set()
         # Evidence baseline of the last phase-2 pass: the conditioning
-        # names plus fingerprints of every column a retry would consult —
-        # per-column under the ``column`` policy, one union digest under
-        # ``coarse``.  The None sentinels make the first pass (and any
-        # pass after a policy switch) run unconditionally.
+        # names plus per-column fingerprints of every column a retry would
+        # consult.  The None sentinels make the first pass (and any pass
+        # after a policy switch) run unconditionally.
         self._cond_names: frozenset[str] | None = None
         self._col_fps: dict[str, str] | None = None
-        self._union_fp: str | None = None
         # Verdicts served from held state instead of re-executing (see
         # module docstring); surfaces through ``result.cache_hits``.
         self._delta_hits = 0
@@ -286,12 +282,6 @@ class OnlineSelector:
             # of them, so everything re-queues.
             return set(decided)
         table = problem.table
-        if policy == "coarse":
-            involved = set(cond_names) | {problem.target} | set(decided)
-            if self._union_fp is None or \
-                    table.fingerprint_of(involved) != self._union_fp:
-                return set(decided)
-            return set()
         recorded = self._col_fps
         if recorded is None:  # policy switched since the last baseline
             return set(decided)
@@ -310,13 +300,9 @@ class OnlineSelector:
         self._cond_names = (frozenset(problem.admissible)
                             | frozenset(self._c1))
         self._col_fps = None
-        self._union_fp = None
         if policy == "off":
             return
         involved = (set(self._cond_names) | {problem.target}
                     | set(self._rejected) | set(self._c2))
-        if policy == "coarse":
-            self._union_fp = problem.table.fingerprint_of(involved)
-        else:
-            self._col_fps = {c: problem.table.fingerprint_of((c,))
-                             for c in involved}
+        self._col_fps = {c: problem.table.fingerprint_of((c,))
+                         for c in involved}

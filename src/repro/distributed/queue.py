@@ -247,8 +247,10 @@ class FileSpoolQueue(WorkQueue):
     the deadline in the name, :meth:`extend` is a rename to a fresh
     deadline and :meth:`reclaim_expired` a name comparison — the task
     record itself is immutable from submit to completion, so there is no
-    torn-rewrite window.  (Legacy deadline-less claimed entries fall back
-    to the old mtime rule.)
+    torn-rewrite window.  A claimed entry without a deadline field counts
+    as expired: the next reclaim requeues it unless a heartbeat has
+    renamed it to a deadline first.  Completion is idempotent, so a
+    duplicate run costs time, never a wrong answer.
     """
 
     def __init__(self, root: str | os.PathLike, lease: float | None = None,
@@ -387,12 +389,6 @@ class FileSpoolQueue(WorkQueue):
             if parsed is None:
                 continue
             path = os.path.join(claimed_dir, name)
-            if parsed[2] is None:  # legacy mtime-leased entry
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
-                continue
             deadline = faults.clock("queue.clock.claim") + self.lease
             target = os.path.join(
                 claimed_dir,
@@ -469,16 +465,8 @@ class FileSpoolQueue(WorkQueue):
                 except OSError:
                     pass
                 continue
-            if deadline_ms is not None:
-                if now * 1000.0 <= deadline_ms:
-                    continue
-            else:  # legacy entry: fall back to the mtime rule
-                try:
-                    age = now - os.stat(path).st_mtime
-                except OSError:
-                    continue  # completed (or reclaimed) under us
-                if age <= self.lease:
-                    continue
+            if deadline_ms is not None and now * 1000.0 <= deadline_ms:
+                continue
             if attempts >= self.retries:
                 # Quarantine before posting the failure: complete()
                 # retires every live entry for the task, so the rename

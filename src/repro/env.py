@@ -144,8 +144,8 @@ CI_TESTER = _register(
 
 CI_EXECUTOR = _register(
     "REPRO_CI_EXECUTOR", "",
-    "batch executor for cache-miss CI batches (`serial`/`threads`/"
-    "`process`/`remote`); unset consults measured calibration, else "
+    "batch executor for cache-miss CI batches (`serial`/`process`/"
+    "`remote`); unset consults measured calibration, else "
     "serial")
 
 CI_JOBS = _register(
@@ -216,8 +216,7 @@ CI_WAVE_CELLS = _register(
 STREAM_DELTA = _register(
     "REPRO_STREAM_DELTA", "column",
     "online delta-reuse policy gating phase-2 retries (`column` re-queues "
-    "only features whose queries touch a changed column, `coarse` keys "
-    "one union fingerprint over every involved column, `off` retries "
+    "only features whose queries touch a changed column, `off` retries "
     "every decided feature each batch)")
 
 TABLE_BACKEND = _register(

@@ -58,6 +58,7 @@ SITES: dict[str, str] = {
     "store.load": "store document read",
     "store.save": "store document write (truncatable)",
     "store.quarantine": "corrupt-document quarantine rename",
+    "store.lock": "cross-process save lock (open + flock of <path>.lock)",
 }
 
 #: Sentinel distinguishing "not yet resolved from env" from "resolved: no

@@ -31,8 +31,7 @@ from hypothesis import strategies as st
 
 from repro.ci.adaptive import AdaptiveCI
 from repro.ci.base import CIQuery, CITestLedger
-from repro.ci.executor import (ProcessExecutor, SerialExecutor,
-                               ThreadedExecutor)
+from repro.ci.executor import ProcessExecutor, SerialExecutor
 from repro.ci.fisher_z import FisherZCI
 from repro.ci.kcit import KCIT, _center, rbf_gram
 from repro.ci.rcit import RCIT, RIT
@@ -146,7 +145,6 @@ class TestFusedEquivalence:
 class TestLedgerAndExecutorInvariants:
     def executors(self):
         return [SerialExecutor(),
-                ThreadedExecutor(n_workers=3, min_batch=2),
                 ProcessExecutor(n_workers=2, min_batch=2,
                                 mp_context="fork")]
 

@@ -6,8 +6,7 @@ import pytest
 from repro.ci.adaptive import AdaptiveCI
 from repro.ci.base import CIQuery, CIResult, CITestLedger, CITester
 from repro.ci.executor import (ProcessExecutor, SerialExecutor,
-                               ThreadedExecutor, default_executor,
-                               executor_by_name)
+                               default_executor, executor_by_name)
 from repro.ci.gtest import GTestCI
 from repro.ci.rcit import RCIT
 from repro.data.table import Table
@@ -32,59 +31,42 @@ def queries(table):
 class TestExecutors:
     def test_by_name(self):
         assert isinstance(executor_by_name("serial"), SerialExecutor)
-        threaded = executor_by_name("threads", n_workers=3)
-        assert isinstance(threaded, ThreadedExecutor)
-        assert threaded.n_workers == 3
+        pooled = executor_by_name("process", n_workers=3)
+        assert isinstance(pooled, ProcessExecutor)
+        assert pooled.n_workers == 3
         with pytest.raises(ValueError, match="unknown executor"):
             executor_by_name("rocket")
-
-    def test_threaded_matches_serial_order_and_values(self):
-        table = make_table()
-        qs = queries(table)
-        table.warm_cache()
-        serial = SerialExecutor().run(GTestCI(), table, qs)
-        threaded = ThreadedExecutor(n_workers=4, min_batch=2).run(
-            GTestCI(), table, qs)
-        assert [r.p_value for r in threaded] == [r.p_value for r in serial]
-        assert [r.query for r in threaded] == [r.query for r in serial]
-
-    def test_threaded_rcit_matches_serial(self):
-        """Seeded RCIT is deterministic per query, so sharding across
-        threads must not change any value."""
-        table = make_table(n=300)
-        qs = queries(table)[:6]
-        serial = SerialExecutor().run(RCIT(seed=0), table, qs)
-        threaded = ThreadedExecutor(n_workers=3, min_batch=2).run(
-            RCIT(seed=0), table, qs)
-        assert [r.p_value for r in threaded] == [r.p_value for r in serial]
+        with pytest.raises(ValueError, match="unknown executor"):
+            executor_by_name("threads")
 
     def test_small_batches_run_serially(self):
         table = make_table()
-        executor = ThreadedExecutor(n_workers=4, min_batch=64)
-        results = executor.run(GTestCI(), table, queries(table))
+        with ProcessExecutor(n_workers=4, min_batch=64) as executor:
+            results = executor.run(GTestCI(), table, queries(table))
+            assert executor._pool is None  # inline, no pool spawned
         assert len(results) == len(queries(table))
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="n_workers"):
-            ThreadedExecutor(n_workers=0)
+            ProcessExecutor(n_workers=0)
 
 
 class TestLedgerExecutorAccounting:
     def test_counts_and_entries_unchanged(self):
-        """Routing misses through a threaded executor must leave the
+        """Routing misses through a process executor must leave the
         ledger's accounting identical to the serial path."""
         table = make_table()
         qs = queries(table)
         serial = CITestLedger(GTestCI())
         serial.test_batch(table, qs)
-        threaded = CITestLedger(GTestCI(),
-                                executor=ThreadedExecutor(n_workers=4,
-                                                          min_batch=2))
-        threaded.test_batch(table, qs)
-        assert threaded.n_tests == serial.n_tests == len(qs)
-        assert [e.query for e in threaded.entries] == \
+        with ProcessExecutor(n_workers=2, min_batch=2,
+                             mp_context="fork") as executor:
+            pooled = CITestLedger(GTestCI(), executor=executor)
+            pooled.test_batch(table, qs)
+        assert pooled.n_tests == serial.n_tests == len(qs)
+        assert [e.query for e in pooled.entries] == \
                [e.query for e in serial.entries]
-        assert [e.result.p_value for e in threaded.entries] == \
+        assert [e.result.p_value for e in pooled.entries] == \
                [e.result.p_value for e in serial.entries]
 
     def test_executor_never_sees_cached_queries(self):
@@ -114,9 +96,10 @@ class TestAdaptiveContinuousSharding:
                  CIQuery.make("f1", "y", ("a",)),
                  CIQuery.make("cont", "s", ())]
         plain = AdaptiveCI(seed=0).test_batch(table, mixed)
-        sharded = AdaptiveCI(
-            seed=0, executor=ThreadedExecutor(n_workers=2, min_batch=2)
-        ).test_batch(table, mixed)
+        with ProcessExecutor(n_workers=2, min_batch=2,
+                             mp_context="fork") as executor:
+            sharded = AdaptiveCI(seed=0, executor=executor).test_batch(
+                table, mixed)
         assert [r.p_value for r in sharded] == [r.p_value for r in plain]
         assert [r.method for r in sharded] == [r.method for r in plain]
 
@@ -152,10 +135,6 @@ class TestWorkerErrorPropagation:
         return next(q for q in qs if "f3" in q.x)
 
     @pytest.mark.parametrize("make_executor", [
-        pytest.param(lambda: ThreadedExecutor(n_workers=4, min_batch=2),
-                     id="threads"),
-        pytest.param(lambda: ThreadedExecutor(n_workers=4, min_batch=64),
-                     id="threads-serial-fallback"),
         pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
                                              mp_context="fork"),
                      id="process"),
@@ -181,9 +160,10 @@ class TestWorkerErrorPropagation:
         table = make_table()
         bad = [CIQuery.make("f0", "y", ("a",)),
                CIQuery.make("absent", "y", ("a",))]
-        executor = ThreadedExecutor(n_workers=2, min_batch=2)
-        with pytest.raises(CITestError) as excinfo:
-            executor.run(GTestCI(), table, bad)
+        with ProcessExecutor(n_workers=2, min_batch=2,
+                             mp_context="fork") as executor:
+            with pytest.raises(CITestError) as excinfo:
+                executor.run(GTestCI(), table, bad)
         assert excinfo.value.query == bad[1]
 
     def test_serial_executor_stays_transparent(self):
@@ -194,12 +174,24 @@ class TestWorkerErrorPropagation:
     def test_ledger_path_surfaces_attributed_error(self):
         table = make_table()
         qs = queries(table)
-        ledger = CITestLedger(
-            PoisonedTester(),
-            executor=ThreadedExecutor(n_workers=2, min_batch=2))
-        with pytest.raises(CITestError) as excinfo:
-            ledger.test_batch(table, qs)
+        with ProcessExecutor(n_workers=2, min_batch=2,
+                             mp_context="fork") as executor:
+            ledger = CITestLedger(PoisonedTester(), executor=executor)
+            with pytest.raises(CITestError) as excinfo:
+                ledger.test_batch(table, qs)
         assert excinfo.value.query == self.poisoned_query(qs)
+
+    def test_single_ledger_test_is_attributed(self):
+        """``CITestLedger.test`` is a batch of one through the executor,
+        so a single failing test is attributed exactly like a batch."""
+        table = make_table()
+        with ProcessExecutor(n_workers=2, min_batch=16) as executor:
+            ledger = CITestLedger(PoisonedTester(), executor=executor)
+            with pytest.raises(CITestError) as excinfo:
+                ledger.test(table, "f3", "y", ("a",))
+            assert executor._pool is None  # one query runs inline
+        assert excinfo.value.query == CIQuery.make("f3", "y", ("a",))
+        assert ledger.n_tests == 0
 
 
 class TestDefaultExecutorEnv:
@@ -217,13 +209,6 @@ class TestDefaultExecutorEnv:
         assert executor.n_workers == 3
         assert executor.mp_context == "fork"
         assert isinstance(CITestLedger(GTestCI()).executor, ProcessExecutor)
-
-    def test_env_selects_threads(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CI_EXECUTOR", "threads")
-        monkeypatch.setenv("REPRO_CI_JOBS", "2")
-        executor = default_executor()
-        assert isinstance(executor, ThreadedExecutor)
-        assert executor.n_workers == 2
 
     def test_invalid_env_values_fail_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_CI_EXECUTOR", "rocket")
@@ -317,7 +302,7 @@ class TestReplaySafety:
         # attributes on the stateless leaf tester instead, which is safe.)
         inner = CITestLedger(PoisonedTester(), executor=SerialExecutor())
         with pytest.raises(CITestError) as excinfo:
-            ThreadedExecutor(n_workers=2, min_batch=2).run(inner, table, qs)
+            ProcessExecutor(n_workers=2, min_batch=2).run(inner, table, qs)
         assert excinfo.value.query is None  # attribution skipped
         executed = [e.query for e in inner.entries]
         assert len(executed) == len(set(executed))  # no duplicate entries
@@ -337,30 +322,6 @@ class TestReplaySafety:
                PermutationCI(seed=rng).cache_token()
         # Value seeds stay stable across instances and processes.
         assert RCIT(seed=7).cache_token() == RCIT(seed=7).cache_token()
-
-    def test_threaded_executor_never_shards_a_live_generator_stream(self):
-        """Regression: ThreadedExecutor sharded Generator-seeded testers,
-        letting worker threads consume the one shared stream in scheduling
-        order — verdicts varied run to run.  It now falls back to serial,
-        so results match a serial run over an identical stream state."""
-        import pickle
-        table = make_table(n=200)
-        qs = queries(table)[:6]
-        gen = np.random.default_rng(7)
-        twin = pickle.loads(pickle.dumps(gen))  # identical stream state
-        serial = SerialExecutor().run(RCIT(seed=gen), table, qs)
-        threaded = ThreadedExecutor(n_workers=4, min_batch=2).run(
-            RCIT(seed=twin), table, qs)
-        assert [r.p_value for r in threaded] == [r.p_value for r in serial]
-
-    def test_threaded_executor_keeps_stateful_testers_serial(self):
-        table = make_table()
-        qs = queries(table)
-        inner = CITestLedger(GTestCI(), cache=True)
-        results = ThreadedExecutor(n_workers=4, min_batch=2).run(
-            inner, table, qs)
-        assert len(results) == len(qs)
-        assert inner.n_tests == len(qs) and inner.cache_hits == 0
 
     def test_kcit_generator_seed_covered_too(self):
         """KCIT's annotation says int|None, but nothing stops a live

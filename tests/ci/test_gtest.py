@@ -110,16 +110,6 @@ class TestMinExpectedGuard:
         guarded = GTestCI(min_expected=5.0).test(t, "x", "y")
         assert guarded.p_value == 1.0 and guarded.statistic == 0.0
 
-    def test_min_count_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="min_count"):
-            tester = GTestCI(min_count=5)
-        assert tester.min_expected == 5.0
-        assert tester.min_count == 5.0
-        t = self.sparse_table()
-        modern = GTestCI(min_expected=5.0).test(t, "x", "y", ["z"])
-        legacy = tester.test(t, "x", "y", ["z"])
-        assert legacy.p_value == modern.p_value
-
     def test_negative_min_expected_rejected(self):
         from repro.exceptions import CITestError
         with pytest.raises(CITestError):

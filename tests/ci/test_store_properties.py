@@ -17,7 +17,12 @@ Plus the same discipline for :class:`ExperimentStore`'s selections file.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,7 +210,9 @@ class TestConcurrentSaves:
         with pytest.warns(RuntimeWarning, match="retained"):
             broken.save()
         assert path.read_text() == survivor
-        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+        # No temp file leaks; the save lock's file is the only sibling.
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["cache.json", "cache.json.lock"]
         # The unsaved entries stay live and land once writes heal.
         monkeypatch.undo()
         broken.save()
@@ -537,3 +544,57 @@ class TestProblemIdentityInMemoKey:
             problem)
         assert reopened.selection_hits == 0  # corrupt entry never served
         assert again.selected_set == cold.selected_set  # recomputed
+
+
+# One store save in a child process: put one entry, announce through a
+# marker file, then save.  ``wait`` makes the child poll for the other
+# child's marker first, so its save lands inside the other's write.
+_SAVER = """
+import os, sys, time
+from repro.ci.store import PersistentCICache
+path, name, marker, wait = sys.argv[1:5]
+if wait:
+    while not os.path.exists(wait):
+        time.sleep(0.01)
+    time.sleep(0.2)
+store = PersistentCICache(path)
+store.put("fp-" + name, ((name,), ("y",), ()), "g-test", 0.01,
+          {"independent": True, "p_value": 0.5, "statistic": 1.0,
+           "method": "g-test"})
+open(marker, "w").close()
+store.save()
+"""
+
+
+class TestCrossProcessSaves:
+    def test_concurrent_process_saves_lose_nothing(self, tmp_path):
+        """Regression: saves from two processes to one file shared only a
+        thread lock.  The slow saver merges, then stalls one second in
+        its write (``store.save:delay=1``); the fast saver commits during
+        the stall; the slow rename then dropped the fast entry."""
+        path = tmp_path / "shared.json"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        env.pop("REPRO_FAULTS", None)
+        slow_marker = str(tmp_path / "slow.marker")
+
+        def saver(name, marker, wait, extra_env):
+            return subprocess.Popen(
+                [sys.executable, "-c", _SAVER, str(path), name, marker,
+                 wait], env={**env, **extra_env})
+
+        fast = saver("fast", str(tmp_path / "fast.marker"), slow_marker, {})
+        slow = saver("slow", slow_marker, "",
+                     {"REPRO_FAULTS": "store.save:delay=1"})
+        deadline = time.monotonic() + 120
+        for child in (slow, fast):
+            assert child.wait(timeout=max(1.0, deadline - time.monotonic())) \
+                == 0
+        final = PersistentCICache(path)
+        assert final.get("fp-fast", (("fast",), ("y",), ()), "g-test",
+                         0.01) is not None
+        assert final.get("fp-slow", (("slow",), ("y",), ()), "g-test",
+                         0.01) is not None
+        assert len(final) == 2

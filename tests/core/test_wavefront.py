@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ci.base import CIQuery, CITestLedger
-from repro.ci.executor import ProcessExecutor, ThreadedExecutor
+from repro.ci.executor import ProcessExecutor
 from repro.ci.gtest import GTestCI
 from repro.ci.store import ExperimentStore
 from repro.core.engine import WavefrontEngine
@@ -183,8 +183,6 @@ class TestWavefrontMatchesSequential:
 def executor_factories():
     return [
         pytest.param(lambda: None, id="serial"),
-        pytest.param(lambda: ThreadedExecutor(n_workers=3, min_batch=2),
-                     id="threads"),
         pytest.param(lambda: ProcessExecutor(n_workers=2, min_batch=2,
                                              mp_context="fork"),
                      id="process"),

@@ -121,30 +121,23 @@ class TestDifferentialSkew:
         assert os.listdir(os.path.join(spool.root, "quarantine"))
 
 
-class TestLegacyEntries:
-    def test_two_part_claimed_entry_falls_back_to_mtime(self, spool):
-        """Deadline-less claimed entries (written by an older version)
-        still reclaim — by the old mtime rule."""
-        submit(spool)
-        task = spool.claim("w")
-        assert task is not None
-        (name,) = claimed_names(spool)
-        legacy = os.path.join(spool.root, "claimed",
-                              spool._entry_name("t0", 0))
-        os.rename(os.path.join(spool.root, "claimed", name), legacy)
-        assert spool.reclaim_expired() == 0  # fresh mtime: still leased
-        ancient = time.time() - 3600
-        os.utime(legacy, (ancient, ancient))
-        assert spool.reclaim_expired() == 1
-
-    def test_legacy_extend_touches_mtime(self, spool):
+class TestDeadlineLessEntries:
+    def test_deadline_less_entry_requeues(self, spool):
+        """A claimed entry without a deadline field is expired whatever
+        its mtime: the next reclaim requeues it, and the original
+        claimer's late completion stays idempotent."""
         submit(spool)
         assert spool.claim("w") is not None
         (name,) = claimed_names(spool)
-        legacy = os.path.join(spool.root, "claimed",
-                              spool._entry_name("t0", 0))
-        os.rename(os.path.join(spool.root, "claimed", name), legacy)
-        ancient = time.time() - 3600
-        os.utime(legacy, (ancient, ancient))
-        spool.extend("t0")
-        assert os.stat(legacy).st_mtime > time.time() - 5
+        os.rename(os.path.join(spool.root, "claimed", name),
+                  os.path.join(spool.root, "claimed",
+                               spool._entry_name("t0", 0)))
+        assert spool.reclaim_expired() == 1
+        assert claimed_names(spool) == []
+        assert os.listdir(os.path.join(spool.root, "tasks")) == [
+            spool._entry_name("t0", 1)]
+        spool.complete("t0", b"done")
+        spool.complete("t0", b"done")
+        assert spool.result("t0") == b"done"
+        assert os.listdir(os.path.join(spool.root, "tasks")) == []
+        assert spool.claim("w") is None
